@@ -6,25 +6,30 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use quepa_aindex::AugmentedKey;
+use quepa_aindex::{AugmentedKey, ShardIndexStats};
 use quepa_check::{ModelIndex, SplitMix};
 use quepa_core::{AugmentedAnswer, IndexOp, Quepa, QuepaConfig, RecoveryOptions, SyncPolicy};
 use quepa_pdm::{CollectionName, DataObject, DatabaseName, GlobalKey, LocalKey};
-use quepa_polystore::{Deployment, LatencyModel, Polystore, StatsSnapshot};
+use quepa_polystore::{Deployment, Polystore, StatsSnapshot};
 use quepa_serve::{AdmissionConfig, Client, Response, Server, Status};
 use quepa_workload::{BuiltPolystore, MusicData, WorkloadConfig};
 
 use crate::check::{self, Check};
 use crate::plan::{self, Search, Size, Workload, LANGUAGES};
-use crate::stats::{block_quantile, median};
+use crate::stats::{block_quantile, block_rate, median};
 use crate::sys;
 
 /// Client connections of wire-zipf and threads of read-write: no more
 /// than the two cores the benchmark is sized for.
 const LOAD_THREADS: usize = 2;
 
-/// `search_p99_ms` (a per-layer figure of the traced run's untraced pass)
-/// is the median of the p99s of this many contiguous blocks of the
+/// `search_per_s` is the median of the search rates of this many
+/// contiguous blocks of the sequence (≈300 searches, ≈1 s each), so a
+/// stall of the host in one block leaves it alone.
+const RATE_BLOCKS: usize = 10;
+
+/// `search_p99_ms` (a per-layer figure of the traced run's untraced pass,
+/// and a reference figure of the untraced run) is the median of the p99s of this many contiguous blocks of the
 /// sequence; `Size::min_searches` leaves each block at least ten searches
 /// beyond its p99.
 const P99_BLOCKS: usize = 3;
@@ -77,6 +82,8 @@ pub struct Outcome {
     pub ops: Vec<OpCount>,
     /// End-to-end or per-layer metrics, in report order.
     pub metrics: Vec<Metric>,
+    /// Figures printed for reference only, outside the JSON line.
+    pub references: Vec<Metric>,
     /// Host CPU-steal ticks over the timed phases.
     pub steal_ticks: u64,
 }
@@ -84,6 +91,10 @@ pub struct Outcome {
 impl Outcome {
     fn metric(&mut self, name: &'static str, value: f64, unit: &'static str) {
         self.metrics.push(Metric { name, value, unit });
+    }
+
+    fn reference(&mut self, name: &'static str, value: f64, unit: &'static str) {
+        self.references.push(Metric { name, value, unit });
     }
 
     fn check(&mut self, result: Check) {
@@ -100,48 +111,48 @@ impl Outcome {
 // ---------------------------------------------------------------------
 // Set-up
 
-/// A ready instance: the durable `Quepa`, its server on wire-zipf, and
-/// the generated data the reference model is fed from.
+/// A ready instance: the `Quepa`, its server on wire-zipf's reads, its
+/// durable directory if it has one, and the generated data the
+/// reference model is fed from.
 struct Instance {
     quepa: Arc<Quepa>,
     server: Option<Server>,
-    dir: PathBuf,
+    dir: Option<PathBuf>,
     data: MusicData,
 }
 
 impl Instance {
-    fn shutdown(mut self) -> PathBuf {
+    fn shutdown(mut self) -> Option<PathBuf> {
         if let Some(server) = self.server.as_mut() {
             server.shutdown();
         }
         self.dir
     }
-}
 
-fn deployment(workload: Workload) -> Deployment {
-    match workload {
-        Workload::WireZipf => Deployment::Distributed,
-        _ => Deployment::InProcess,
+    /// Shuts down and removes the durable directory, if any.
+    fn discard(self) {
+        if let Some(dir) = self.shutdown() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
 
-/// cold-mix and read-write fetch inline (`threads_size: 1`): on two
-/// cores the pooled fan-out only adds scheduling noise to CPU-bound
-/// fetches. wire-zipf keeps the default configuration.
-fn config(workload: Workload) -> QuepaConfig {
-    match workload {
-        Workload::WireZipf => QuepaConfig::default(),
-        _ => QuepaConfig { threads_size: 1, ..QuepaConfig::default() },
-    }
+/// How long each step of one set-up took.
+struct SetupTimes {
+    build_s: f64,
+    /// `Quepa::with_config` (volatile) or `Quepa::create_durable`.
+    attach_s: f64,
+    /// Build, attach and the server bind.
+    total_s: f64,
 }
 
-fn build(args: &RunArgs) -> BuiltPolystore {
-    BuiltPolystore::build(WorkloadConfig {
-        albums: args.size.albums,
-        replica_sets: args.size.replica_sets,
-        deployment: deployment(args.workload),
-        seed: args.seed,
-    })
+/// Every workload runs with the latency model off and fetches inline
+/// (`threads_size: 1`), the cache and single-flight left at their
+/// defaults. On two cores the pooled fan-out and the link's sleeps only
+/// add hand-offs between threads, and co-tenant CPU steal delays every
+/// hand-off (see the README's wire-zipf section).
+fn config() -> QuepaConfig {
+    QuepaConfig { threads_size: 1, ..QuepaConfig::default() }
 }
 
 fn fresh_dir(args: &RunArgs, label: &str) -> PathBuf {
@@ -151,62 +162,65 @@ fn fresh_dir(args: &RunArgs, label: &str) -> PathBuf {
     dir
 }
 
-/// Durable create over a built polystore, plus the server bind on
-/// wire-zipf.
-fn attach(args: &RunArgs, built: BuiltPolystore, dir: PathBuf) -> Result<Instance, String> {
-    let BuiltPolystore { polystore, index, data, .. } = built;
-    let quepa =
-        Quepa::create_durable(polystore, index, config(args.workload), &dir, SyncPolicy::Buffered)
-            .map_err(|e| format!("create_durable: {e}"))?;
+/// Builds the polystore and A' index, then attaches them: durably over
+/// `dir` when given (`create_durable`, dominated by the initial cut),
+/// otherwise as a volatile `Quepa`. `serve` binds a server over it.
+fn set_up(
+    args: &RunArgs,
+    dir: Option<PathBuf>,
+    serve: bool,
+) -> Result<(Instance, SetupTimes), String> {
+    let start = Instant::now();
+    let BuiltPolystore { polystore, index, data, .. } = BuiltPolystore::build(WorkloadConfig {
+        albums: args.size.albums,
+        replica_sets: args.size.replica_sets,
+        deployment: Deployment::InProcess,
+        seed: args.seed,
+    });
+    let build_s = start.elapsed().as_secs_f64();
+    let attach = Instant::now();
+    let config = config();
+    let quepa = match &dir {
+        Some(dir) => Quepa::create_durable(polystore, index, config, dir, SyncPolicy::Buffered)
+            .map_err(|e| format!("create_durable: {e}"))?,
+        None => Quepa::with_config(polystore, index, config),
+    };
+    let attach_s = attach.elapsed().as_secs_f64();
     let quepa = Arc::new(quepa);
-    let server = match args.workload {
-        Workload::WireZipf => Some(
+    let server = if serve {
+        Some(
             Server::start(Arc::clone(&quepa), "127.0.0.1:0", AdmissionConfig::default())
                 .map_err(|e| format!("server bind: {e}"))?,
-        ),
-        _ => None,
+        )
+    } else {
+        None
     };
-    Ok(Instance { quepa, server, dir, data })
+    let total_s = start.elapsed().as_secs_f64();
+    Ok((Instance { quepa, server, dir, data }, SetupTimes { build_s, attach_s, total_s }))
 }
 
-/// Sets up `args.size.setups` times and keeps the last instance;
-/// returns the median set-up time.
+/// The instance the reads run on: durable on read-write, where the
+/// writer shares it; volatile on the other two, with the server bound on
+/// wire-zipf.
+fn read_instance(args: &RunArgs, label: &str) -> Result<(Instance, SetupTimes), String> {
+    let dir = (args.workload == Workload::ReadWrite).then(|| fresh_dir(args, label));
+    set_up(args, dir, args.workload == Workload::WireZipf)
+}
+
+/// Sets up the read instance `args.size.setups` times and keeps the
+/// last; returns the median set-up time.
 fn setup(args: &RunArgs) -> Result<(Instance, f64), String> {
     let mut times = Vec::new();
-    let mut kept = None;
+    let mut kept: Option<Instance> = None;
     for attempt in 0..args.size.setups.max(1) {
         if let Some(old) = kept.take() {
-            let _ = std::fs::remove_dir_all(Instance::shutdown(old));
+            old.discard();
         }
-        let dir = fresh_dir(args, &format!("setup{attempt}"));
-        let start = Instant::now();
-        let instance = attach(args, build(args), dir)?;
-        times.push(start.elapsed().as_secs_f64());
+        let (instance, t) = read_instance(args, &format!("setup{attempt}"))?;
+        times.push(t.total_s);
         kept = Some(instance);
     }
     Ok((kept.expect("at least one set-up"), median(&times)))
-}
-
-/// The trace's set-up, timed layer by layer: the build, the publish into
-/// a volatile `Quepa` (then dropped), and a second build attached
-/// durably.
-fn layered_setup(args: &RunArgs, out: &mut Outcome) -> Result<Instance, String> {
-    let start = Instant::now();
-    let built = build(args);
-    let build1 = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    drop(std::hint::black_box(built.into_quepa()));
-    let publish = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let built = build(args);
-    let build2 = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let instance = attach(args, built, fresh_dir(args, "traced"))?;
-    let create = start.elapsed().as_secs_f64();
-    out.metric("aindex.build_s", (build1 + build2) / 2.0, "s");
-    out.metric("aindex.publish_s", publish, "s");
-    out.metric("durability.create_s", create, "s");
-    Ok(instance)
 }
 
 // ---------------------------------------------------------------------
@@ -225,23 +239,29 @@ struct Reads {
     /// Wire responses of the sampled positions.
     responses: BTreeMap<usize, Response>,
     errors: Vec<String>,
-    elapsed_s: f64,
+    /// When each search completed, in seconds from the phase's start.
+    done_s: Vec<f64>,
     /// Layer samples (traced phases only).
     layers: Layers,
 }
 
 impl Reads {
     fn merge(parts: Vec<(Vec<usize>, Reads)>, n: usize) -> Reads {
-        let mut out = Reads { latency_ms: vec![0.0; n], ok: vec![false; n], ..Reads::default() };
+        let mut out = Reads {
+            latency_ms: vec![0.0; n],
+            ok: vec![false; n],
+            done_s: vec![0.0; n],
+            ..Reads::default()
+        };
         for (positions, part) in parts {
             for (slot, &i) in positions.iter().enumerate() {
                 out.latency_ms[i] = part.latency_ms[slot];
                 out.ok[i] = part.ok[slot];
+                out.done_s[i] = part.done_s[slot];
             }
             out.kept.extend(part.kept.into_iter().map(|(slot, a)| (positions[slot], a)));
             out.responses.extend(part.responses.into_iter().map(|(slot, r)| (positions[slot], r)));
             out.errors.extend(part.errors);
-            out.elapsed_s = out.elapsed_s.max(part.elapsed_s);
             out.layers.merge(part.layers);
         }
         out
@@ -261,7 +281,7 @@ fn reads_inproc(
     quepa: &Quepa,
     seq: &[Search],
     keep: &BTreeSet<usize>,
-    probe: Option<LatencyModel>,
+    probe: bool,
     progress: Option<&Progress>,
 ) -> Reads {
     let mut out = Reads::default();
@@ -271,13 +291,14 @@ fn reads_inproc(
         let result = search_inproc(quepa, s);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         out.latency_ms.push(ms);
+        out.done_s.push(start.elapsed().as_secs_f64());
         out.ok.push(result.is_ok());
         match result {
             Ok(answer) => {
-                if let Some(link) = probe {
+                if probe {
                     let keys: Vec<GlobalKey> =
                         answer.original.iter().map(|o| o.key().clone()).collect();
-                    out.layers.probe(quepa, link, s, &keys, ms, i);
+                    out.layers.probe(quepa, s, &keys, ms, i);
                 }
                 if keep.contains(&i) {
                     out.originals.push(answer.original.clone());
@@ -295,18 +316,12 @@ fn reads_inproc(
             p.advance();
         }
     }
-    out.elapsed_s = start.elapsed().as_secs_f64();
     out
 }
 
 /// `LOAD_THREADS` connections, each a closed loop over its share of the
 /// sequence (position `i` goes to connection `i % LOAD_THREADS`).
-fn reads_wire(
-    instance: &Instance,
-    seq: &[Search],
-    keep: &BTreeSet<usize>,
-    probe: Option<LatencyModel>,
-) -> Reads {
+fn reads_wire(instance: &Instance, seq: &[Search], keep: &BTreeSet<usize>, probe: bool) -> Reads {
     let addr = instance.server.as_ref().expect("wire workloads run a server").local_addr();
     let start = Instant::now();
     let parts: Vec<(Vec<usize>, Reads)> = std::thread::scope(|scope| {
@@ -331,10 +346,11 @@ fn reads_wire(
                         let result = client.augment(s.database, s.level, &s.query);
                         let ms = t.elapsed().as_secs_f64() * 1e3;
                         out.latency_ms.push(ms);
+                        out.done_s.push(start.elapsed().as_secs_f64());
                         out.ok.push(matches!(&result, Ok(r) if r.status == Status::Ok));
                         match result {
                             Ok(response) if response.status == Status::Ok => {
-                                if let Some(link) = probe {
+                                if probe {
                                     // The wire answer carries no original: re-run the
                                     // native query for the probe's seed keys.
                                     let keys: Vec<GlobalKey> = quepa
@@ -342,7 +358,7 @@ fn reads_wire(
                                         .execute(s.database, &s.query)
                                         .map(|o| o.iter().map(|o| o.key().clone()).collect())
                                         .unwrap_or_default();
-                                    out.layers.probe(quepa, link, s, &keys, ms, i);
+                                    out.layers.probe(quepa, s, &keys, ms, i);
                                 }
                                 if keep.contains(&i) {
                                     out.responses.insert(slot, response);
@@ -356,7 +372,6 @@ fn reads_wire(
                             Err(e) => out.errors.push(format!("{}: {e}", s.query)),
                         }
                     }
-                    out.elapsed_s = start.elapsed().as_secs_f64();
                     (positions, out)
                 })
             })
@@ -374,12 +389,10 @@ struct Writes {
     failed: usize,
     errors: Vec<String>,
     busy_s: f64,
-    checkpoints: usize,
-    checkpoints_failed: usize,
     wchar: u64,
-    /// Per commit or checkpoint (traced phases only): did it write a
-    /// checkpoint cut, how long it took, and how many bytes the process
-    /// handed to `write()` meanwhile.
+    /// Per commit (traced phases only): did it write a checkpoint cut,
+    /// how long it took, and how many bytes the process handed to
+    /// `write()` meanwhile.
     observed: Vec<(bool, f64, u64)>,
 }
 
@@ -412,10 +425,9 @@ struct Pacing<'a> {
     reads: usize,
 }
 
-/// Commits `batches` in order, with one checkpoint cut half way (an
-/// operator's periodic `CHECKPOINT`: every run pays exactly one cut,
-/// whatever the seed). `busy_s` sums the time spent inside
-/// `apply_mutations` and `checkpoint_durable`, the writer's own work.
+/// Commits `batches` in order. The cut the aimed shard's compaction
+/// triggers is written inside the commit that compacts it. `busy_s` sums
+/// the time spent inside `apply_mutations`, the writer's own work.
 fn write_batches(
     quepa: &Quepa,
     batches: &[Vec<IndexOp>],
@@ -444,20 +456,6 @@ fn write_batches(
                 out.errors.push(format!("apply_mutations: {e}"));
             }
         }
-        if j + 1 == batches.len() / 2 {
-            let before = sys::wchar();
-            let t = Instant::now();
-            if let Err(e) = quepa.checkpoint_durable() {
-                out.checkpoints_failed += 1;
-                out.errors.push(format!("checkpoint_durable: {e}"));
-            }
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            out.busy_s += ms / 1e3;
-            out.checkpoints += 1;
-            if observe {
-                out.observed.push((true, ms, sys::wchar() - before));
-            }
-        }
     }
     out.wchar = sys::wchar() - wchar0;
     out
@@ -479,18 +477,17 @@ impl Counters {
     }
 }
 
-/// One pass over the workload's operations: the main phase (reads, plus
-/// the concurrent writer on read-write), then the writer alone on the
-/// other two.
+/// The main phase: the reads, plus on read-write the concurrent writer.
 struct Pass {
     reads: Reads,
+    /// The concurrent writer on read-write; empty on the other two.
     writes: Writes,
     /// CPU milliseconds of the main phase.
     cpu_ms: f64,
     steal: u64,
     before: Counters,
     after: Counters,
-    /// `VmHWM` at the end of the timed phases.
+    /// `VmHWM` at the end of the main phase.
     peak_rss_mb: f64,
     /// In-process reference answers for the kept positions, taken after
     /// the reads and before any write that could change them: the
@@ -501,12 +498,12 @@ struct Pass {
 
 fn pass(args: &RunArgs, instance: &Instance, seqs: &Seqs, traced: bool) -> Pass {
     let quepa = &instance.quepa;
-    let probe = traced.then(|| deployment(args.workload).latency());
+    let probe = traced;
     let before = Counters::read(quepa);
     let steal0 = sys::steal_ticks();
     let cpu0 = sys::cpu_ms();
     let progress = Progress::default();
-    let (reads, mut writes) = match args.workload {
+    let (reads, writes) = match args.workload {
         Workload::ColdMix => {
             (reads_inproc(quepa, &seqs.reads, &seqs.keep, probe, None), Writes::default())
         }
@@ -525,7 +522,9 @@ fn pass(args: &RunArgs, instance: &Instance, seqs: &Seqs, traced: bool) -> Pass 
         }),
     };
     let cpu_ms = sys::cpu_ms() - cpu0;
+    let steal = sys::steal_ticks() - steal0;
     let after = Counters::read(quepa);
+    let peak_rss_mb = sys::peak_rss_mb();
     let refs = seqs
         .keep
         .iter()
@@ -535,19 +534,39 @@ fn pass(args: &RunArgs, instance: &Instance, seqs: &Seqs, traced: bool) -> Pass 
             quepa.augmented_search(s.database, &s.query, s.level).ok().map(|a| (i, a))
         })
         .collect();
-    if args.workload != Workload::ReadWrite {
-        writes = write_batches(quepa, &seqs.batches, None, traced);
+    Pass { reads, writes, cpu_ms, steal, before, after, peak_rss_mb, refs }
+}
+
+/// The writer's instance after the main phase, its writes, and the
+/// set-up of a separate durable instance where it needed one.
+struct WriteLeg {
+    instance: Instance,
+    writes: Writes,
+    steal: u64,
+    setup: Option<SetupTimes>,
+}
+
+/// On read-write the writer already ran against the reader on the read
+/// instance. On the other two, whose reads run volatile, the read
+/// instance is shut down and the writer runs alone on a durable instance
+/// of the same polystore, built for it.
+fn write_leg(
+    args: &RunArgs,
+    read: Instance,
+    pass: &mut Pass,
+    seqs: &Seqs,
+    traced: bool,
+) -> Result<WriteLeg, String> {
+    if args.workload == Workload::ReadWrite {
+        let writes = std::mem::take(&mut pass.writes);
+        return Ok(WriteLeg { instance: read, writes, steal: 0, setup: None });
     }
-    Pass {
-        reads,
-        writes,
-        cpu_ms,
-        steal: sys::steal_ticks() - steal0,
-        before,
-        after,
-        peak_rss_mb: sys::peak_rss_mb(),
-        refs,
-    }
+    read.discard();
+    let (instance, times) = set_up(args, Some(fresh_dir(args, "writer")), false)?;
+    let steal0 = sys::steal_ticks();
+    let writes = write_batches(&instance.quepa, &seqs.batches, None, traced);
+    let steal = sys::steal_ticks() - steal0;
+    Ok(WriteLeg { instance, writes, steal, setup: Some(times) })
 }
 
 // ---------------------------------------------------------------------
@@ -578,15 +597,7 @@ impl Layers {
 
     /// Times each layer on the inputs search `i` (`s`, which took
     /// `search_ms`) just used; `keys` are its local answer's keys.
-    fn probe(
-        &mut self,
-        quepa: &Quepa,
-        link: LatencyModel,
-        s: &Search,
-        keys: &[GlobalKey],
-        search_ms: f64,
-        i: usize,
-    ) {
+    fn probe(&mut self, quepa: &Quepa, s: &Search, keys: &[GlobalKey], search_ms: f64, i: usize) {
         let window = keys.len().max(1);
         // The search's own native query, and on every fourth search the
         // same window in the other three languages.
@@ -611,7 +622,7 @@ impl Layers {
         let t = Instant::now();
         let (plan, _owners) = quepa.index().augment_multi(keys, s.level);
         let plan_ms = t.elapsed().as_secs_f64() * 1e3;
-        let fetch_ms = fetch(quepa.polystore(), &plan, quepa.config().batch_size, link);
+        let fetch_ms = fetch(quepa.polystore(), &plan, quepa.config().batch_size);
         self.plan_ms.push(plan_ms);
         self.plan_keys.push(plan.len() as f64);
         self.fetch_ms.push(fetch_ms);
@@ -623,10 +634,8 @@ impl Layers {
 
 /// Fetches the plan's keys with `Polystore::multi_get`, one call per
 /// `batch`-sized chunk of each (database, collection) group, and returns
-/// the store time: wall time minus the link model's cost of each round
-/// trip, so the figure is the stores' own work even where a link is
-/// simulated.
-fn fetch(polystore: &Polystore, plan: &[AugmentedKey], batch: usize, link: LatencyModel) -> f64 {
+/// the stores' time.
+fn fetch(polystore: &Polystore, plan: &[AugmentedKey], batch: usize) -> f64 {
     let mut groups: BTreeMap<(&DatabaseName, &CollectionName), Vec<LocalKey>> = BTreeMap::new();
     for k in plan {
         groups.entry((k.key.database(), k.key.collection())).or_default().push(k.key.key().clone());
@@ -635,11 +644,8 @@ fn fetch(polystore: &Polystore, plan: &[AugmentedKey], batch: usize, link: Laten
     for ((db, coll), keys) in &groups {
         for chunk in keys.chunks(batch.max(1)) {
             let t = Instant::now();
-            let objects = polystore.multi_get(db, coll, chunk);
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            let (n, bytes) =
-                objects.map_or((0, 0), |o| (o.len(), o.iter().map(DataObject::approx_size).sum()));
-            total += ms - link.cost(n, bytes).as_secs_f64() * 1e3;
+            let _ = std::hint::black_box(polystore.multi_get(db, coll, chunk));
+            total += t.elapsed().as_secs_f64() * 1e3;
         }
     }
     total
@@ -656,14 +662,17 @@ struct Seqs {
     keep: BTreeSet<usize>,
 }
 
-fn seqs(args: &RunArgs) -> Seqs {
+/// The run's sequences. The writer aims by the shard sizes of the
+/// freshly built index, which depend on the seed alone.
+fn seqs(args: &RunArgs, quepa: &Quepa) -> Seqs {
     let size = &args.size;
     let reads = match args.workload {
         Workload::ColdMix => plan::cold_mix(size, args.seed, args.seconds),
         Workload::WireZipf => plan::wire_zipf(size, args.seed, args.seconds),
         Workload::ReadWrite => plan::rw_reads(size, args.seed, args.seconds),
     };
-    let batches = plan::batches(size, args.seed, args.seconds);
+    let entries: Vec<usize> = quepa.index_shard_stats().iter().map(|s| s.entries).collect();
+    let batches = plan::batches(size, args.seed, args.seconds, &entries);
     let mut rng = SplitMix::new(args.seed).fork("sample");
     let mut keep = BTreeSet::new();
     if args.workload == Workload::ReadWrite {
@@ -714,18 +723,19 @@ fn ledger(instance: &Instance) -> Result<(u64, u64, u64), String> {
     ))
 }
 
-/// The checks that need the live instance, then the restart: recover
-/// from the run's directory (`recovers` times, timed) and compare.
-/// Returns the median recovery time.
-fn check_run(
+/// The checks of the main phase, on the live read instance: originals
+/// against a direct execute, answers against the reference model or the
+/// unfiltered answer, wire responses against in-process answers, and
+/// the admission ledger. Returns the reference model, fed the workload's
+/// p-relations, for the write checks.
+fn check_reads(
     args: &RunArgs,
-    instance: Instance,
+    instance: &Instance,
     seqs: &Seqs,
     pass: &Pass,
     out: &mut Outcome,
-    recovers: usize,
-) -> f64 {
-    let quepa = Arc::clone(&instance.quepa);
+) -> ModelIndex {
+    let quepa = &instance.quepa;
     // Originals: each answer against a direct execute (the stores do not
     // change during a run; writes touch only the A' index).
     if args.workload != Workload::WireZipf {
@@ -741,7 +751,6 @@ fn check_run(
             }
         }
     }
-    // The reference model, fed the workload's p-relations.
     let mut model = ModelIndex::new();
     plan::feed_model(&mut model, &instance.data, args.size.replica_sets);
     match args.workload {
@@ -777,7 +786,7 @@ fn check_run(
                     None => out.failures.push(format!("in-process {} failed", s.query)),
                 }
             }
-            match ledger(&instance) {
+            match ledger(instance) {
                 Ok((served, _, shed)) => {
                     out.check(check::ledger_balances(seqs.reads.len() as u64, served, shed))
                 }
@@ -786,7 +795,21 @@ fn check_run(
         }
         Workload::ReadWrite => {}
     }
-    // The index after the writes against the model with the same ops.
+    model
+}
+
+/// The checks of the writes: the index after them against `model` with
+/// the same ops applied, then the restart: recover from the run's
+/// directory (`recovers` times, timed) and compare. Returns the median
+/// recovery time.
+fn check_writes(
+    args: &RunArgs,
+    writer: Instance,
+    seqs: &Seqs,
+    mut model: ModelIndex,
+    out: &mut Outcome,
+    recovers: usize,
+) -> f64 {
     let ops: Vec<IndexOp> = seqs.batches.iter().flatten().cloned().collect();
     for op in &ops {
         plan::apply_to_model(&mut model, op);
@@ -798,19 +821,21 @@ fn check_run(
             seeds.push((key, k % 2));
         }
     }
-    let live = quepa.index();
+    let live = writer.quepa.index();
     out.check(check::index_matches_model("live", &live, &model, &seeds));
     out.check(check::writes_survive("live", &live, &ops));
     drop(model);
-    drop(quepa);
-    let dir = instance.shutdown();
+    let Some(dir) = writer.shutdown() else {
+        out.failures.push("the writer's instance is not durable".into());
+        return 0.0;
+    };
     // Restart: recover from the directory alone.
     let mut times = Vec::new();
     for r in 0..recovers.max(1) {
         let start = Instant::now();
         let recovered = Quepa::recover_durable(
             Polystore::new(),
-            config(args.workload),
+            config(),
             &dir,
             SyncPolicy::Buffered,
             &RecoveryOptions::default(),
@@ -833,10 +858,10 @@ fn check_run(
     median(&times)
 }
 
-fn account(out: &mut Outcome, args: &RunArgs, seqs: &Seqs, pass: &Pass) {
+fn account(out: &mut Outcome, args: &RunArgs, seqs: &Seqs, reads: &Reads, writes: &Writes) {
     let filtered = seqs.reads.iter().filter(|s| s.filter.is_some()).count();
     let failed = |filtered: bool| {
-        pass.reads
+        reads
             .ok
             .iter()
             .zip(&seqs.reads)
@@ -848,9 +873,8 @@ fn account(out: &mut Outcome, args: &RunArgs, seqs: &Seqs, pass: &Pass) {
     if filtered > 0 {
         out.count("filtered-search", filtered, failed(true));
     }
-    out.count("commit", seqs.batches.len(), pass.writes.failed);
-    out.count("checkpoint", pass.writes.checkpoints, pass.writes.checkpoints_failed);
-    for e in pass.reads.errors.iter().chain(&pass.writes.errors).take(5) {
+    out.count("commit", seqs.batches.len(), writes.failed);
+    for e in reads.errors.iter().chain(&writes.errors).take(5) {
         eprintln!("operation failed: {e}");
     }
 }
@@ -862,32 +886,32 @@ fn account(out: &mut Outcome, args: &RunArgs, seqs: &Seqs, pass: &Pass) {
 pub fn run(args: &RunArgs) -> Result<Outcome, String> {
     std::fs::create_dir_all(&args.data_dir)
         .map_err(|e| format!("{}: {e}", args.data_dir.display()))?;
-    let seqs = seqs(args);
     let mut out = Outcome::default();
     if args.trace {
-        trace(args, &seqs, &mut out)?;
+        trace(args, &mut out)?;
     } else {
         let (instance, setup_s) = setup(args)?;
-        let pass = pass(args, &instance, &seqs, false);
-        account(&mut out, args, &seqs, &pass);
-        out.steal_ticks = pass.steal;
-        let recover_s = check_run(args, instance, &seqs, &pass, &mut out, args.size.recovers);
+        let seqs = seqs(args, &instance.quepa);
+        let mut pass = pass(args, &instance, &seqs, false);
+        let model = check_reads(args, &instance, &seqs, &pass, &mut out);
+        let leg = write_leg(args, instance, &mut pass, &seqs, false)?;
+        account(&mut out, args, &seqs, &pass.reads, &leg.writes);
+        out.steal_ticks = pass.steal + leg.steal;
+        let recover_s =
+            check_writes(args, leg.instance, &seqs, model, &mut out, args.size.recovers);
         let lat = &pass.reads.latency_ms;
         let main_ops = seqs.reads.len()
-            + if args.workload == Workload::ReadWrite {
-                seqs.batches.len() + pass.writes.checkpoints
-            } else {
-                0
-            };
+            + if args.workload == Workload::ReadWrite { seqs.batches.len() } else { 0 };
         out.metric("setup_s", setup_s, "s");
         out.metric("peak_rss_mb", pass.peak_rss_mb, "MB");
-        out.metric("search_per_s", seqs.reads.len() as f64 / pass.reads.elapsed_s, "1/s");
+        out.metric("search_per_s", block_rate(&pass.reads.done_s, RATE_BLOCKS), "1/s");
         out.metric("search_p50_ms", median(lat), "ms");
         out.metric("cpu_ms_per_op", pass.cpu_ms / main_ops as f64, "ms");
-        out.metric("mutate_per_s", pass.writes.ops as f64 / pass.writes.busy_s, "1/s");
-        out.metric("commit_p50_ms", median(&pass.writes.commit_ms), "ms");
-        out.metric("write_mb", pass.writes.wchar as f64 / (1024.0 * 1024.0), "MB");
+        out.metric("mutate_per_s", leg.writes.ops as f64 / leg.writes.busy_s, "1/s");
+        out.metric("commit_p50_ms", median(&leg.writes.commit_ms), "ms");
+        out.metric("write_mb", leg.writes.wchar as f64 / (1024.0 * 1024.0), "MB");
         out.metric("recover_s", recover_s, "s");
+        out.reference("search_p99_ms", block_quantile(lat, 0.99, P99_BLOCKS), "ms");
     }
     let _ = std::fs::remove_dir(&args.data_dir);
     Ok(out)
@@ -895,60 +919,65 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
 
 /// The traced run: an untraced pass on one instance (the reference for
 /// the tracing overhead and the source of the program's own counters),
-/// then a fresh instance set up layer by layer and a traced pass that
-/// probes every layer after each operation, then an in-process serial
-/// replay and cold-cache pairs.
-fn trace(args: &RunArgs, seqs: &Seqs, out: &mut Outcome) -> Result<(), String> {
+/// then fresh instances set up layer by layer and a traced pass that
+/// probes every layer after each operation, an in-process serial replay
+/// and cold-cache pairs, and the traced writer.
+fn trace(args: &RunArgs, out: &mut Outcome) -> Result<(), String> {
     // Pass A: untraced.
-    let (dir, untraced_p50) = {
-        let (instance, _) =
-            setup(&RunArgs { size: Size { setups: 1, ..args.size }, ..args.clone() })?;
-        let a = pass(args, &instance, seqs, false);
-        let quepa = &instance.quepa;
-        let searches = seqs.reads.len() as f64;
-        let d = delta(&a.before.stats, &a.after.stats);
-        let (hits, misses) =
-            (a.after.cache.0 - a.before.cache.0, a.after.cache.1 - a.before.cache.1);
-        let shards = quepa.index_shard_stats();
-        out.metric("polystore.round_trips", d.round_trips as f64 / searches, "count");
-        out.metric("polystore.objects", d.objects_returned as f64 / searches, "count");
-        out.metric("polystore.kib", d.bytes_returned as f64 / 1024.0 / searches, "KiB");
-        out.metric("polystore.link_ms", d.simulated_network.as_secs_f64() * 1e3 / searches, "ms");
-        out.metric("cache.hit_ratio", hits as f64 / (hits + misses).max(1) as f64, "ratio");
-        out.metric(
-            "aindex.resident_mb",
-            shards.iter().map(|s| s.resident_bytes).sum::<usize>() as f64 / (1024.0 * 1024.0),
-            "MB",
-        );
-        out.metric(
-            "aindex.overlay_depth",
-            shards.iter().map(|s| s.overlay_depth).sum::<usize>() as f64,
-            "count",
-        );
-        out.metric(
-            "aindex.compactions",
-            shards.iter().map(|s| s.compactions).sum::<u64>() as f64,
-            "count",
-        );
-        out.metric("aindex.swaps", shards.iter().map(|s| s.swaps).sum::<u64>() as f64, "count");
-        let (degraded, shed) = match args.workload {
-            Workload::WireZipf => ledger(&instance).map(|(_, d, s)| (d, s))?,
-            _ => (0, 0),
-        };
-        out.metric("serve.degraded", degraded as f64, "count");
-        out.metric("serve.shed", shed as f64, "count");
-        out.steal_ticks += a.steal;
-        out.metric("search_p99_ms", block_quantile(&a.reads.latency_ms, 0.99, P99_BLOCKS), "ms");
-        (instance.shutdown(), median(&a.reads.latency_ms))
+    let (instance, _) = setup(&RunArgs { size: Size { setups: 1, ..args.size }, ..args.clone() })?;
+    let seqs = seqs(args, &instance.quepa);
+    let mut a = pass(args, &instance, &seqs, false);
+    let searches = seqs.reads.len() as f64;
+    let d = delta(&a.before.stats, &a.after.stats);
+    let (hits, misses) = (a.after.cache.0 - a.before.cache.0, a.after.cache.1 - a.before.cache.1);
+    out.metric("polystore.round_trips", d.round_trips as f64 / searches, "count");
+    out.metric("polystore.objects", d.objects_returned as f64 / searches, "count");
+    out.metric("polystore.kib", d.bytes_returned as f64 / 1024.0 / searches, "KiB");
+    // The runs keep the link model off; this is what the §VII-A
+    // distributed link would charge for the same round trips.
+    let link = Deployment::Distributed.latency();
+    let link_ms = match d.round_trips {
+        0 => 0.0,
+        trips => {
+            let first = link.cost(d.objects_returned as usize, d.bytes_returned as usize);
+            (first + link.cost(0, 0) * (trips - 1) as u32).as_secs_f64() * 1e3
+        }
     };
-    let _ = std::fs::remove_dir_all(dir);
+    out.metric("polystore.link_ms", link_ms / searches, "ms");
+    out.metric("cache.hit_ratio", hits as f64 / (hits + misses).max(1) as f64, "ratio");
+    let resident: usize = instance.quepa.index_shard_stats().iter().map(|s| s.resident_bytes).sum();
+    out.metric("aindex.resident_mb", resident as f64 / (1024.0 * 1024.0), "MB");
+    let (degraded, shed) = match args.workload {
+        Workload::WireZipf => ledger(&instance).map(|(_, d, s)| (d, s))?,
+        _ => (0, 0),
+    };
+    out.metric("serve.degraded", degraded as f64, "count");
+    out.metric("serve.shed", shed as f64, "count");
+    out.metric("search_p99_ms", block_quantile(&a.reads.latency_ms, 0.99, P99_BLOCKS), "ms");
+    let untraced_p50 = median(&a.reads.latency_ms);
     out.metric("trace.untraced_search_ms", untraced_p50, "ms");
+    let leg = write_leg(args, instance, &mut a, &seqs, false)?;
+    out.steal_ticks += a.steal + leg.steal;
+    let shards = leg.instance.quepa.index_shard_stats();
+    let total = |f: fn(&ShardIndexStats) -> u64| shards.iter().map(f).sum::<u64>() as f64;
+    out.metric("aindex.overlay_depth", total(|s| s.overlay_depth as u64), "count");
+    out.metric("aindex.compactions", total(|s| s.compactions), "count");
+    out.metric("aindex.swaps", total(|s| s.swaps), "count");
+    leg.instance.discard();
 
-    // Pass B: traced, on a fresh instance.
-    let instance = layered_setup(args, out)?;
-    let b = pass(args, &instance, seqs, true);
-    out.steal_ticks += b.steal;
-    account(out, args, seqs, &b);
+    // Pass B: traced, on fresh instances set up layer by layer. The
+    // volatile set-up times the publish; the durable one the create (on
+    // read-write here, on the other two with the writer below).
+    let (instance, volatile, durable) = if args.workload == Workload::ReadWrite {
+        let (discarded, volatile) = set_up(args, None, false)?;
+        discarded.discard();
+        let (instance, durable) = read_instance(args, "traced")?;
+        (instance, volatile, Some(durable))
+    } else {
+        let (instance, volatile) = read_instance(args, "traced")?;
+        (instance, volatile, None)
+    };
+    let mut b = pass(args, &instance, &seqs, true);
     let layers = &b.reads.layers;
     for (db, name) in [
         ("transactions", "relstore.local_ms"),
@@ -965,20 +994,11 @@ fn trace(args: &RunArgs, seqs: &Seqs, out: &mut Outcome) -> Result<(), String> {
     let traced_p50 = median(&b.reads.latency_ms);
     out.metric("trace.search_ms", traced_p50, "ms");
     out.metric("trace.overhead_ms", traced_p50 - untraced_p50, "ms");
-    let observed = &b.writes.observed;
-    let cut_ms: Vec<f64> = observed.iter().filter(|o| o.0).map(|o| o.1).collect();
-    let nocut_ms: Vec<f64> = observed.iter().filter(|o| !o.0).map(|o| o.1).collect();
-    out.metric("durability.cuts", cut_ms.len() as f64, "count");
-    out.metric("durability.cut_ms", median(&cut_ms), "ms");
-    out.metric("durability.commit_nocut_ms", median(&nocut_ms), "ms");
-    let wal_bytes: u64 = observed.iter().filter(|o| !o.0).map(|o| o.2).sum();
-    let nocut_ops = nocut_ms.len() * args.size.batch_ops;
-    out.metric("wal.bytes_per_op", wal_bytes as f64 / nocut_ops.max(1) as f64, "B");
 
     // Pass C: serial in-process replay of the reads, natural cache.
     let quepa = &instance.quepa;
     quepa.drop_caches();
-    let c = reads_inproc(quepa, &seqs.reads, &BTreeSet::new(), None, None);
+    let c = reads_inproc(quepa, &seqs.reads, &BTreeSet::new(), false, None);
     let inproc_p50 = median(&c.latency_ms);
     out.metric("core.search_inproc_ms", inproc_p50, "ms");
     let wire_overhead = match args.workload {
@@ -1024,8 +1044,25 @@ fn trace(args: &RunArgs, seqs: &Seqs, out: &mut Outcome) -> Result<(), String> {
     out.metric("serve.response_kib", median(&kib), "KiB");
 
     // Pass D left the cache and config as they were; the checks run on
-    // the traced instance's answers.
-    check_run(args, instance, seqs, &b, out, 1);
+    // the traced instance's answers and the traced writer's instance.
+    let model = check_reads(args, &instance, &seqs, &b, out);
+    let leg = write_leg(args, instance, &mut b, &seqs, true)?;
+    out.steal_ticks += b.steal + leg.steal;
+    account(out, args, &seqs, &b.reads, &leg.writes);
+    let durable = durable.or(leg.setup).expect("the writer has a durable set-up");
+    out.metric("aindex.build_s", (volatile.build_s + durable.build_s) / 2.0, "s");
+    out.metric("aindex.publish_s", volatile.attach_s, "s");
+    out.metric("durability.create_s", durable.attach_s, "s");
+    let observed = &leg.writes.observed;
+    let cut_ms: Vec<f64> = observed.iter().filter(|o| o.0).map(|o| o.1).collect();
+    let nocut_ms: Vec<f64> = observed.iter().filter(|o| !o.0).map(|o| o.1).collect();
+    out.metric("durability.cuts", cut_ms.len() as f64, "count");
+    out.metric("durability.cut_ms", median(&cut_ms), "ms");
+    out.metric("durability.commit_nocut_ms", median(&nocut_ms), "ms");
+    let wal_bytes: u64 = observed.iter().filter(|o| !o.0).map(|o| o.2).sum();
+    let nocut_ops = nocut_ms.len() * args.size.batch_ops;
+    out.metric("wal.bytes_per_op", wal_bytes as f64 / nocut_ops.max(1) as f64, "B");
+    check_writes(args, leg.instance, &seqs, model, out, 1);
     Ok(())
 }
 

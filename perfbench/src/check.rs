@@ -290,7 +290,8 @@ mod tests {
     fn a_mutation_left_out_of_the_reference_is_caught() {
         let (quepa, model) = system();
         let size = Size::SMOKE;
-        let batches = plan::batches(&size, 9, 1);
+        let entries: Vec<usize> = quepa.index_shard_stats().iter().map(|s| s.entries).collect();
+        let batches = plan::batches(&size, 9, 1, &entries);
         let ops: Vec<IndexOp> = batches.iter().flatten().cloned().collect();
         for batch in &batches {
             quepa.apply_mutations(batch).unwrap();

@@ -155,7 +155,9 @@ fn steady(cli: &Cli, n: usize) -> ExitCode {
                 eprintln!("{} seed {seed}: {last}", workload.name());
                 ok = false;
             }
-            for (name, value, unit) in report::parse_metrics(&text) {
+            let figures =
+                report::parse_metrics(&text).into_iter().chain(report::parse_references(&text));
+            for (name, value, unit) in figures {
                 match series.iter_mut().find(|s| s.0 == name) {
                     Some(s) => s.2.push(value),
                     None => series.push((name, unit, vec![value])),

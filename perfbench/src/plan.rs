@@ -5,6 +5,9 @@
 //! runs with the same arguments attempt exactly the same operations and
 //! only time varies between them.
 
+use std::collections::BTreeSet;
+
+use quepa_aindex::shard::route;
 use quepa_check::{ModelIndex, SplitMix};
 use quepa_core::IndexOp;
 use quepa_pdm::{GlobalKey, Probability, PushOp, Pushdown, Value};
@@ -14,11 +17,10 @@ use quepa_workload::{MusicData, ZipfSampler};
 /// The three workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// In-process, latency model off, inline fetch, cache far smaller
-    /// than the working set.
+    /// In-process, cache far smaller than the working set.
     ColdMix,
-    /// Loopback TCP through `quepa-serve`, distributed link model,
-    /// default configuration, Zipf-skewed windows.
+    /// Loopback TCP through `quepa-serve`, two connections, Zipf-skewed
+    /// windows, so hot windows hit the cache.
     WireZipf,
     /// A reader and a writer sharing one durable instance.
     ReadWrite,
@@ -194,49 +196,175 @@ fn search_count(per_s: usize, seconds: u64, min: usize, round: usize) -> usize {
 
 /// The writer's batches. Every workload runs the same writer: against
 /// the reader on read-write, alone after the reads on the other two.
-pub fn batches(size: &Size, seed: u64, seconds: u64) -> Vec<Vec<IndexOp>> {
-    mutations(size, &mut SplitMix::new(seed).fork("writer"), size.batches_per_s * seconds as usize)
+/// `shard_entries` is each index shard's live entry count at set-up
+/// (`Quepa::index_shard_stats`), which the writer aims by.
+pub fn batches(size: &Size, seed: u64, seconds: u64, shard_entries: &[usize]) -> Vec<Vec<IndexOp>> {
+    let count = size.batches_per_s * seconds as usize;
+    mutations(size, &mut SplitMix::new(seed).fork("writer"), count, shard_entries)
 }
 
-/// `count` batches of `size.batch_ops` ops: fifteen in sixteen are
-/// `InsertMatching` between existing keys (a sale or customer and an
-/// album copy), the rest `RemoveObject` of a sale line. Removed keys are
-/// never insertion endpoints, so every acknowledged insert must still be
-/// in the index after the run.
-pub fn mutations(size: &Size, rng: &mut SplitMix, count: usize) -> Vec<Vec<IndexOp>> {
-    let sales = size.albums;
-    let customers = (size.albums / 10).max(1);
+/// How many distinct keys of one shard the writer touches: half as many
+/// again as the overlay that makes the program compact the shard (an
+/// eighth of its base, at least 64). The shard crosses that line once,
+/// and the commit that compacts it writes a checkpoint cut.
+pub fn aimed_touches(entries: usize) -> usize {
+    let compacts_above = 64.max(entries / 8);
+    compacts_above + compacts_above / 2
+}
+
+/// `count` batches of `size.batch_ops` random ops, plus the ops aimed at
+/// one seeded shard, spread evenly among them.
+///
+/// Of the random ops, fifteen in sixteen are `InsertMatching` between
+/// existing keys (a sale or customer and an album copy), the rest
+/// `RemoveObject` of a sale line. Removed keys are never insertion
+/// endpoints, so every acknowledged insert must still be in the index
+/// after the run.
+///
+/// A matching insert touches its first endpoint and every copy of the
+/// album (the index joins the endpoint to the album's identity clique),
+/// so each touches about ten keys spread over all shards. The random ops
+/// leave every shard far below its compaction line. The aimed inserts
+/// join a sale or customer of the target shard to an album copy there,
+/// favouring albums with more copies in it, until the writer touches
+/// `aimed_touches` distinct keys of that shard (`quepa_aindex::shard::route`).
+pub fn mutations(
+    size: &Size,
+    rng: &mut SplitMix,
+    count: usize,
+    shard_entries: &[usize],
+) -> Vec<Vec<IndexOp>> {
     let suffixes = suffixes(size.replica_sets);
-    (0..count)
-        .map(|_| {
-            (0..size.batch_ops)
-                .map(|_| {
-                    if rng.below(16) == 0 {
-                        let line = format!("i{}_0", rng.below(sales));
-                        return IndexOp::RemoveObject {
-                            key: key("transactions", "sales_details", &line),
-                        };
-                    }
-                    let a = if rng.chance(50) {
-                        key("transactions", "sales", &format!("s{}", rng.below(sales)))
-                    } else {
-                        key("catalogue", "customers", &format!("c{}", rng.below(customers)))
-                    };
-                    let album = rng.below(size.albums);
-                    let suffix = rng.pick(&suffixes).clone();
-                    let b = match rng.below(3) {
-                        0 => {
-                            key(&format!("transactions{suffix}"), "inventory", &format!("a{album}"))
-                        }
-                        1 => key(&format!("catalogue{suffix}"), "albums", &format!("d{album}")),
-                        _ => key(&format!("similar{suffix}"), "album", &format!("g{album}")),
-                    };
-                    let p = Probability::of(0.6 + 0.01 * rng.below(36) as f64);
-                    IndexOp::InsertMatching { a, b, p }
-                })
-                .collect()
+    let background: Vec<IndexOp> =
+        (0..count * size.batch_ops).map(|_| random_op(size, rng, &suffixes)).collect();
+    let target = rng.below(shard_entries.len().max(1));
+    let goal = aimed_touches(shard_entries.get(target).copied().unwrap_or(0));
+    let mut touched: BTreeSet<GlobalKey> = background
+        .iter()
+        .flat_map(|op| touches(op, size.replica_sets))
+        .filter(|k| route(k) == target)
+        .collect();
+    let aimed = aim(size, rng, target, goal, &mut touched);
+    let (n, k) = (background.len(), aimed.len());
+    let mut aimed = aimed.into_iter();
+    let mut merged = Vec::with_capacity(n + k);
+    for (i, op) in background.into_iter().enumerate() {
+        // Aimed op `j` goes before random op `(j + 1)·n / (k + 1)`.
+        while merged.len() - i < k && (merged.len() - i + 1) * n / (k + 1) <= i {
+            merged.extend(aimed.next());
+        }
+        merged.push(op);
+    }
+    merged.extend(aimed);
+    merged.chunks(size.batch_ops.max(1)).map(<[IndexOp]>::to_vec).collect()
+}
+
+fn random_op(size: &Size, rng: &mut SplitMix, suffixes: &[String]) -> IndexOp {
+    if rng.below(16) == 0 {
+        let line = format!("i{}_0", rng.below(size.albums));
+        return IndexOp::RemoveObject { key: key("transactions", "sales_details", &line) };
+    }
+    let a = random_buyer(size, rng);
+    let album = rng.below(size.albums);
+    let suffix = rng.pick(suffixes);
+    let b = album_copy(album, suffix, rng.below(3));
+    IndexOp::InsertMatching { a, b, p: random_p(rng) }
+}
+
+fn random_buyer(size: &Size, rng: &mut SplitMix) -> GlobalKey {
+    if rng.chance(50) {
+        key("transactions", "sales", &format!("s{}", rng.below(size.albums)))
+    } else {
+        key("catalogue", "customers", &format!("c{}", rng.below((size.albums / 10).max(1))))
+    }
+}
+
+fn random_p(rng: &mut SplitMix) -> Probability {
+    Probability::of(0.6 + 0.01 * rng.below(36) as f64)
+}
+
+/// Inserts that add keys of shard `target` to `touched` until it holds
+/// `goal` of them: each joins an unused sale or customer of the shard
+/// (a random one once those run out) to a copy there of an unused album.
+fn aim(
+    size: &Size,
+    rng: &mut SplitMix,
+    target: usize,
+    goal: usize,
+    touched: &mut BTreeSet<GlobalKey>,
+) -> Vec<IndexOp> {
+    let mut buyers: Vec<GlobalKey> = (0..size.albums)
+        .map(|s| key("transactions", "sales", &format!("s{s}")))
+        .chain(
+            (0..(size.albums / 10).max(1)).map(|c| key("catalogue", "customers", &format!("c{c}"))),
+        )
+        .filter(|k| route(k) == target)
+        .collect();
+    shuffle(&mut buyers, rng);
+    let mut albums: Vec<Vec<GlobalKey>> = (0..size.albums)
+        .map(|album| {
+            let mut copies = album_copies(album, size.replica_sets);
+            copies.retain(|k| route(k) == target);
+            copies
         })
+        .filter(|copies| !copies.is_empty())
+        .collect();
+    shuffle(&mut albums, rng);
+    albums.sort_by_key(|copies| std::cmp::Reverse(copies.len()));
+    let mut aimed = Vec::new();
+    for copies in albums {
+        if touched.len() >= goal {
+            break;
+        }
+        let a = buyers.pop().unwrap_or_else(|| random_buyer(size, rng));
+        let b = copies[rng.below(copies.len())].clone();
+        if route(&a) == target {
+            touched.insert(a.clone());
+        }
+        touched.extend(copies);
+        aimed.push(IndexOp::InsertMatching { a, b, p: random_p(rng) });
+    }
+    aimed
+}
+
+fn shuffle<T>(items: &mut [T], rng: &mut SplitMix) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+}
+
+/// The keys an op touches in the index, as the §VII-A wiring has it: a
+/// removal its key; a matching insert its first endpoint and every copy
+/// of the second endpoint's album (a discount key aside).
+pub fn touches(op: &IndexOp, replica_sets: usize) -> Vec<GlobalKey> {
+    match op {
+        IndexOp::InsertMatching { a, b, .. } => {
+            let album = b.key().as_str()[1..].parse().expect("the writer inserts album copies");
+            let mut keys = album_copies(album, replica_sets);
+            keys.push(a.clone());
+            keys
+        }
+        IndexOp::RemoveObject { key } => vec![key.clone()],
+        other => panic!("the benchmark writer never issues {other:?}"),
+    }
+}
+
+/// Every copy of `album` in the base set and the replica sets.
+fn album_copies(album: usize, replica_sets: usize) -> Vec<GlobalKey> {
+    suffixes(replica_sets)
+        .iter()
+        .flat_map(|suffix| (0..3).map(move |kind| album_copy(album, suffix, kind)))
         .collect()
+}
+
+/// Copy `kind` (0 relational, 1 document, 2 graph) of `album` in the
+/// replica set named by `suffix`.
+fn album_copy(album: usize, suffix: &str, kind: usize) -> GlobalKey {
+    match kind {
+        0 => key(&format!("transactions{suffix}"), "inventory", &format!("a{album}")),
+        1 => key(&format!("catalogue{suffix}"), "albums", &format!("d{album}")),
+        _ => key(&format!("similar{suffix}"), "album", &format!("g{album}")),
+    }
 }
 
 fn suffixes(replica_sets: usize) -> Vec<String> {
@@ -309,7 +437,8 @@ mod tests {
         let c: Vec<String> = cold_mix(&size, 8, 1).into_iter().map(|s| s.query).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(batches(&size, 3, 2), batches(&size, 3, 2));
+        let entries = [400; 16];
+        assert_eq!(batches(&size, 3, 2, &entries), batches(&size, 3, 2, &entries));
     }
 
     #[test]
@@ -321,6 +450,22 @@ mod tests {
         for db in LANGUAGES {
             assert!(filtered.iter().any(|s| s.database == db), "{db} never filtered");
         }
+    }
+
+    #[test]
+    fn writer_overfills_exactly_one_shard() {
+        let size = Size::SMOKE;
+        let entries = [900; 16];
+        let compacts_above = 900 / 8;
+        let mut touched: Vec<BTreeSet<GlobalKey>> = vec![BTreeSet::new(); 16];
+        for op in batches(&size, 5, 1, &entries).iter().flatten() {
+            for key in touches(op, size.replica_sets) {
+                touched[route(&key)].insert(key);
+            }
+        }
+        let over: Vec<usize> = touched.iter().map(BTreeSet::len).collect();
+        assert_eq!(over.iter().filter(|&&n| n > compacts_above).count(), 1, "{over:?}");
+        assert!(over.iter().all(|&n| n < 2 * compacts_above), "{over:?}");
     }
 
     #[test]

@@ -7,8 +7,9 @@ use crate::bench::{Outcome, RunArgs};
 use crate::sys;
 
 /// Lines that precede the JSON: the run's identity, per operation type
-/// accounting, the host's steal over the timed phases, check failures and
-/// every metric as `metric <name> <value> <unit>`.
+/// accounting, the host's steal over the timed phases, check failures,
+/// every metric as `metric <name> <value> <unit>`, and the reference
+/// figures as `reference <name> <value> <unit>`.
 pub fn lines(args: &RunArgs, outcome: &Outcome) -> Vec<String> {
     let mut out = vec![format!(
         "run workload={} seed={} seconds={} trace={} albums={} nproc={} commit={}",
@@ -29,6 +30,9 @@ pub fn lines(args: &RunArgs, outcome: &Outcome) -> Vec<String> {
     }
     for m in &outcome.metrics {
         out.push(format!("metric {} {} {}", m.name, m.value, m.unit));
+    }
+    for m in &outcome.references {
+        out.push(format!("reference {} {} {}", m.name, m.value, m.unit));
     }
     out
 }
@@ -56,10 +60,19 @@ pub fn json(outcome: &Outcome) -> String {
 
 /// Parses the `metric` lines of a report back into `(name, value, unit)`.
 pub fn parse_metrics(report: &str) -> Vec<(String, f64, String)> {
+    parse_lines(report, "metric ")
+}
+
+/// Parses the `reference` lines of a report, as `parse_metrics` does.
+pub fn parse_references(report: &str) -> Vec<(String, f64, String)> {
+    parse_lines(report, "reference ")
+}
+
+fn parse_lines(report: &str, prefix: &str) -> Vec<(String, f64, String)> {
     report
         .lines()
         .filter_map(|l| {
-            let mut parts = l.strip_prefix("metric ")?.split(' ');
+            let mut parts = l.strip_prefix(prefix)?.split(' ');
             let name = parts.next()?.to_owned();
             let value = parts.next()?.parse().ok()?;
             Some((name, value, parts.next().unwrap_or("").to_owned()))

@@ -28,6 +28,27 @@ pub fn block_quantile(values: &[f64], q: f64, blocks: usize) -> f64 {
     median(&per_block)
 }
 
+/// Throughput as the median over `blocks` equal contiguous blocks of a
+/// sequence. `done_s` holds each operation's completion time from the
+/// start of the phase, in sequence order; a block's rate is its
+/// operations over the time from the previous block's last completion to
+/// its own. As with `block_quantile`, a burst of host interference moves
+/// one block's rate only.
+pub fn block_rate(done_s: &[f64], blocks: usize) -> f64 {
+    let size = done_s.len().div_ceil(blocks.max(1)).max(1);
+    let mut prev = 0.0;
+    let rates: Vec<f64> = done_s
+        .chunks(size)
+        .map(|block| {
+            let end = block.iter().copied().fold(prev, f64::max);
+            let rate = block.len() as f64 / (end - prev);
+            prev = end;
+            rate
+        })
+        .collect();
+    median(&rates)
+}
+
 /// Quartiles exactly as Python's `statistics.quantiles(values, n=4)`
 /// (the default "exclusive" method), which is how steadiness is judged.
 pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
@@ -68,6 +89,15 @@ mod tests {
         v[10..15].fill(50.0);
         assert_eq!(quantile(&v, 0.99), 50.0);
         assert_eq!(block_quantile(&v, 0.99, 3), 1.0);
+    }
+
+    #[test]
+    fn block_rate_ignores_a_stall_in_one_block() {
+        // 300 operations at 100/s, with a 2 s stall before operation 150.
+        let done: Vec<f64> =
+            (1..=300).map(|i| f64::from(i) / 100.0 + if i > 150 { 2.0 } else { 0.0 }).collect();
+        assert!((block_rate(&done, 3) - 100.0).abs() < 1e-9);
+        assert!(300.0 / done[299] < 61.0);
     }
 
     #[test]
